@@ -25,9 +25,9 @@
 //!
 //! `store` benchmarks the durable storage layer (`cdb-store`): answer-log
 //! append throughput (every settle is two fsyncs), recovery time vs log
-//! size, the reuse-hit rate cold vs warm across a process restart, and a
-//! durable-table flush/reopen round trip. Human-readable progress goes to
-//! stderr; stdout is a JSON document (redirect it to `BENCH_store.json`).
+//! size, and the reuse-hit rate cold vs warm across a process restart.
+//! Human-readable progress goes to stderr; stdout is a JSON document
+//! (redirect it to `BENCH_store.json`).
 //!
 //! `perf` runs the phase-profiled hot-path sweep over every Table 5
 //! workload (all three datasets × all five plan shapes) plus a MinCut
@@ -775,8 +775,7 @@ fn store(args: &Args) {
     use cdb_obsv::attr::names;
     use cdb_obsv::{kv, Event, Ring, SpanId, Trace};
     use cdb_runtime::{RuntimeConfig, RuntimeExecutor, SettleHook};
-    use cdb_storage::{ColumnDef, ColumnType, Schema, Table, Value};
-    use cdb_store::{AnswerLog, Database, DurableReuseCache, ScratchDir, DEFAULT_SEGMENT_BYTES};
+    use cdb_store::{AnswerLog, DurableReuseCache, ScratchDir, DEFAULT_SEGMENT_BYTES};
     use std::sync::Arc;
 
     let ring = Arc::new(Ring::with_capacity(1 << 12));
@@ -905,46 +904,9 @@ fn store(args: &Args) {
         "recovered cache must raise the reuse-hit rate (cold {cold_rate:.3}, warm {warm_rate:.3})"
     );
 
-    // --- 4. Durable tables: flush a snapshot, reopen, verify.
-    let rows = 2000usize;
-    eprintln!("# store: durable table flush/reopen ({rows} rows)");
-    let dir = ScratchDir::new("bench-tables");
-    let path = dir.path().join("tables.cdb");
-    let schema = Schema::new(vec![
-        ColumnDef::new("id", ColumnType::Int),
-        ColumnDef::crowd("brand", ColumnType::Text),
-    ]);
-    let mut table = Table::new_crowd("products", schema);
-    for i in 0..rows {
-        table.push(vec![Value::Int(i as i64), Value::Text(format!("brand-{}", i % 97))]).unwrap();
-    }
-    let (pages, seq, flush_ms) = {
-        let mut db = Database::open(&path).expect("open db");
-        db.add_table(table).expect("add table");
-        let start = Instant::now();
-        let stats = db.flush().expect("flush");
-        let ms = start.elapsed().as_secs_f64() * 1e3;
-        trace.emit(Event::instant(
-            SpanId::root(),
-            names::STORE_FLUSH,
-            0,
-            kv![n => stats.pages as u64, ms => ms],
-        ));
-        (stats.pages, stats.seq, ms)
-    };
-    let start = Instant::now();
-    let db = Database::open(&path).expect("reopen db");
-    let reopen_ms = start.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(db.table("products").map(|t| t.row_count()).ok(), Some(rows));
-    eprintln!("  flush: {pages} pages in {flush_ms:.2} ms; reopen: {reopen_ms:.2} ms");
-
     let events = ring.drain();
     let count = |name: &str| events.iter().filter(|e| e.name == name).count();
-    eprintln!(
-        "# store: obsv events collected: {} store.recover, {} store.flush",
-        count(names::STORE_RECOVER),
-        count(names::STORE_FLUSH)
-    );
+    eprintln!("# store: obsv events collected: {} store.recover", count(names::STORE_RECOVER));
 
     println!("{{");
     println!("  \"bench\": \"store\",");
@@ -963,15 +925,7 @@ fn store(args: &Args) {
         warm.metrics.tasks_saved,
         warm_rate
     );
-    println!(
-        "  \"table_flush\": {{\"rows\": {rows}, \"pages\": {pages}, \"seq\": {seq}, \
-         \"flush_ms\": {flush_ms:.2}, \"reopen_ms\": {reopen_ms:.2}}},"
-    );
-    println!(
-        "  \"obsv_events\": {{\"store.recover\": {}, \"store.flush\": {}}}",
-        count(names::STORE_RECOVER),
-        count(names::STORE_FLUSH)
-    );
+    println!("  \"obsv_events\": {{\"store.recover\": {}}}", count(names::STORE_RECOVER));
     println!("}}");
 }
 
@@ -1252,12 +1206,11 @@ fn perf(args: &Args) {
 /// cardinalities (`1/(scale*10)` of the paper's award tables) and 10x
 /// that base. At the small size a query's tuple graph splits into many
 /// components; at 10x similarity connectivity merges each graph into one
-/// giant component, so the shardable unit count comes from the fleet —
-/// exactly the regime the coordinator schedules. Each size runs through
-/// the component-sharded executor at 1/2/4 shards (streaming component
-/// arenas) plus a single-shard non-streaming run — the monolithic
-/// baseline that materializes every component sub-graph up front, i.e.
-/// the memory behavior of the unsharded runtime.
+/// giant component, so the shardable unit count comes from the fleet.
+/// Each size runs through the component-sharded executor at 1/2/4 shards
+/// (streaming component arenas) plus a single-shard non-streaming run —
+/// the monolithic baseline that materializes every component sub-graph
+/// up front, i.e. the memory behavior of the unsharded runtime.
 ///
 /// Everything gated is deterministic: bindings must be byte-identical
 /// across all four configurations, per-shard task/money counters must sum

@@ -25,10 +25,9 @@
 //!   virtual latency and quality (decision confidence, vote entropy), with
 //!   a conservation check against the runtime's aggregate counters.
 //! * **Exposition** ([`json`], [`prom`], [`trace_event`]): a tiny
-//!   hand-rolled JSON writer (the vendored `serde` stand-in cannot
-//!   serialize), a Prometheus text-format writer + line-format validator,
-//!   and a Chrome `trace_event` JSON emitter loadable in
-//!   `about:tracing` / [Perfetto](https://ui.perfetto.dev).
+//!   hand-rolled JSON writer, a Prometheus text-format writer +
+//!   line-format validator, and a Chrome `trace_event` JSON emitter
+//!   loadable in `about:tracing` / [Perfetto](https://ui.perfetto.dev).
 //! * **Profiling** ([`hist`], [`profile`]): the *wall-clock* domain,
 //!   deliberately separate from the deterministic virtual-time streams
 //!   above. [`Hist`] is a fixed-precision log-bucketed histogram whose

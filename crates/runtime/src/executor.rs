@@ -261,21 +261,7 @@ impl RuntimeReport {
     /// is enabled — so it is the right artifact for comparing a
     /// cache-enabled run against a cache-disabled one.
     pub fn bindings_text(&self) -> String {
-        let mut s = String::new();
-        for (id, r) in &self.results {
-            match r {
-                Ok(q) => {
-                    let bindings: Vec<String> = q
-                        .bindings
-                        .iter()
-                        .map(|b| b.iter().map(|n| n.0.to_string()).collect::<Vec<_>>().join("."))
-                        .collect();
-                    s.push_str(&format!("q{id} answers=[{}]\n", bindings.join("|")));
-                }
-                Err(e) => s.push_str(&format!("q{id} error={e}\n")),
-            }
-        }
-        s
+        bindings_text(self.results.iter().map(|(id, r)| (*id, r.as_ref().map(|q| &q.bindings))))
     }
 
     /// Queries that finished cleanly.
@@ -349,44 +335,82 @@ impl RuntimeExecutor {
         let mut results: Vec<(u64, Result<QueryResult, RuntimeError>)> =
             (0..n).map(|_| rx.recv().expect("every job reports")).collect();
         pool.join();
-        // Absorb in query-id order: the first (lowest-id) writer wins any
-        // conflicting answer, independent of completion order. Only
-        // successful queries contribute — once an engine latches a fatal
-        // error it stops dispatching, so the failed query's remaining
-        // colors are vote-less defaults, not crowd answers, and absorbing
-        // them would silently corrupt every later query sharing the cache.
-        if let Some(cache) = &self.cfg.reuse {
-            let failed: BTreeSet<u64> =
-                results.iter().filter(|(_, r)| r.is_err()).map(|&(id, _)| id).collect();
-            for (id, session) in &sessions {
-                if !failed.contains(id) {
-                    let session = session.lock().expect("reuse session poisoned");
-                    // Settle-after-fsync: the answers reach stable storage
-                    // before they become visible for cross-query reuse. A
-                    // sink failure skips the absorb — never the reverse.
-                    if let Some(hook) = &self.cfg.settle {
-                        let facts = settled_facts(&self.cfg, &session);
-                        if !facts.is_empty() {
-                            let cents: u64 = facts.iter().map(|f| f.cents).sum();
-                            let ok = hook.settle(*id, &facts).is_ok();
-                            self.cfg.trace.emit(Event::instant(
-                                SpanId::root(),
-                                names::STORE_SETTLE,
-                                0,
-                                kv![q => *id, ok => ok, n => facts.len() as u64, cents => cents],
-                            ));
-                            if !ok {
-                                continue;
-                            }
-                        }
-                    }
-                    cache.absorb(&session);
-                }
-            }
-        }
+        // `sessions` is in query-id order: the lowest-id writer wins.
+        let failed: BTreeSet<u64> =
+            results.iter().filter(|(_, r)| r.is_err()).map(|&(id, _)| id).collect();
+        settle_and_absorb(
+            &self.cfg,
+            sessions.iter().map(|(id, session)| (*id, !failed.contains(id), &**session)),
+        );
         let steals = pool.steals();
         results.sort_by_key(|&(id, _)| id);
         RuntimeReport { results, metrics: metrics.snapshot(), wall: start.elapsed(), steals }
+    }
+}
+
+/// Bindings-only rendering of per-query outcomes, one line per query in
+/// the order given: `q<id> answers=[a.b|c.d]` or `q<id> error=<e>`. Every
+/// engine's report renders through this one function, so a sharded or
+/// scheduled run can be diffed byte-for-byte against a plain runtime run.
+pub fn bindings_text<'a>(
+    results: impl IntoIterator<Item = (u64, Result<&'a BTreeSet<Vec<NodeId>>, &'a RuntimeError>)>,
+) -> String {
+    let mut s = String::new();
+    for (id, r) in results {
+        match r {
+            Ok(bindings) => {
+                let bindings: Vec<String> = bindings
+                    .iter()
+                    .map(|b| b.iter().map(|n| n.0.to_string()).collect::<Vec<_>>().join("."))
+                    .collect();
+                s.push_str(&format!("q{id} answers=[{}]\n", bindings.join("|")));
+            }
+            Err(e) => s.push_str(&format!("q{id} error={e}\n")),
+        }
+    }
+    s
+}
+
+/// Fold finished reuse sessions into the shared cache (`cfg.reuse`),
+/// settling each one first through `cfg.settle`. Items are
+/// `(key, succeeded, session)` and are absorbed in the order given, so
+/// the first writer wins any conflicting answer independent of
+/// completion order.
+///
+/// Only successful sessions contribute — once an engine latches a fatal
+/// error it stops dispatching, so the failed session's remaining colors
+/// are vote-less defaults, not crowd answers, and absorbing them would
+/// silently corrupt every later query sharing the cache. Settle-after-
+/// fsync: answers reach stable storage before they become visible for
+/// cross-query reuse, and a sink failure skips the absorb — never the
+/// reverse. Each non-empty settle emits a `store.settle` event.
+pub fn settle_and_absorb<'a>(
+    cfg: &RuntimeConfig,
+    sessions: impl IntoIterator<Item = (u64, bool, &'a Mutex<ReuseSession>)>,
+) {
+    let Some(cache) = &cfg.reuse else { return };
+    for (key, succeeded, session) in sessions {
+        if !succeeded {
+            continue;
+        }
+        let session = session.lock().expect("reuse session poisoned");
+        if let Some(hook) = &cfg.settle {
+            let facts = settled_facts(cfg, &session);
+            if !facts.is_empty() {
+                let cents: u64 = facts.iter().map(|f| f.cents).sum();
+                let ok = hook.settle(key, &facts).is_ok();
+                cfg.trace.emit(Event::instant(
+                    SpanId::root(),
+                    names::STORE_SETTLE,
+                    0,
+                    kv![q => key, ok => ok, n => facts.len() as u64, cents => cents],
+                ));
+                if !ok {
+                    continue;
+                }
+            }
+        }
+        cache.absorb(&session);
     }
 }
 
@@ -725,6 +749,30 @@ mod tests {
         assert_eq!(report.failed_count(), 5);
         assert!(sink.settled.lock().unwrap().is_empty(), "failed queries reached the sink");
         assert!(cache.is_empty());
+    }
+
+    #[test]
+    fn partially_answered_failed_queries_are_never_settled() {
+        // Unlike dropout-everything, faults with a single retry fail some
+        // queries after they already collected answers: those must not
+        // settle either, while the healthy queries still do.
+        let sink = Arc::new(RecordingSink::default());
+        let cfg = RuntimeConfig {
+            threads: 2,
+            seed: 2,
+            worker_accuracies: vec![1.0; 20],
+            fault_plan: FaultPlan::uniform(2, 0.2),
+            retry: RetryPolicy { deadline_ms: 300_000, max_retries: 1 },
+            reuse: Some(Arc::new(ReuseCache::new())),
+            settle: Some(SettleHook::new(Arc::clone(&sink) as Arc<dyn SettleSink>)),
+            ..RuntimeConfig::default()
+        };
+        let report = RuntimeExecutor::new(cfg).run(jobs(6));
+        assert!(report.ok_count() > 0 && report.failed_count() > 0, "{}", report.answers());
+        let settled: Vec<u64> = sink.settled.lock().unwrap().iter().map(|&(q, _)| q).collect();
+        let ok: Vec<u64> =
+            report.results.iter().filter(|(_, r)| r.is_ok()).map(|&(id, _)| id).collect();
+        assert_eq!(settled, ok, "exactly the successful queries settle, in id order");
     }
 
     #[test]

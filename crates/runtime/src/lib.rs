@@ -38,8 +38,8 @@ mod executor;
 
 pub use engine::RuntimeEngine;
 pub use executor::{
-    execute_query, settled_facts, QueryJob, QueryResult, RoundHook, RoundSink, RuntimeConfig,
-    RuntimeExecutor, RuntimeReport, SettleHook,
+    bindings_text, execute_query, settle_and_absorb, settled_facts, QueryJob, QueryResult,
+    RoundHook, RoundSink, RuntimeConfig, RuntimeExecutor, RuntimeReport, SettleHook,
 };
 pub use fault::{Fault, FaultPlan, RetryPolicy, RuntimeError};
 pub use metrics::{MetricsSnapshot, RuntimeMetrics, HISTOGRAM_BUCKETS};

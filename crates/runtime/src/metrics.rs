@@ -2,8 +2,8 @@
 //!
 //! All counters are atomics so query jobs on different threads update one
 //! [`RuntimeMetrics`] without locks; [`RuntimeMetrics::snapshot`] freezes
-//! them into a plain value that serializes to JSON (via `cdb-obsv`'s
-//! shared `json` module — the vendored `serde` stand-in cannot serialize).
+//! them into a plain value that serializes to JSON via `cdb-obsv`'s
+//! shared `json` module.
 //!
 //! Since the observability layer landed, `RuntimeMetrics` is a *consumer
 //! of the event stream*: it implements [`cdb_obsv::Collector`] and folds

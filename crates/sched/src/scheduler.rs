@@ -142,21 +142,9 @@ impl SchedReport {
     /// comparing a scheduled run against a plain runtime run, or batching
     /// on against off.
     pub fn bindings_text(&self) -> String {
-        let mut s = String::new();
-        for (id, r) in &self.results {
-            match r {
-                Ok(q) => {
-                    let bindings: Vec<String> = q
-                        .bindings
-                        .iter()
-                        .map(|b| b.iter().map(|n| n.0.to_string()).collect::<Vec<_>>().join("."))
-                        .collect();
-                    s.push_str(&format!("q{id} answers=[{}]\n", bindings.join("|")));
-                }
-                Err(e) => s.push_str(&format!("q{id} error={e}\n")),
-            }
-        }
-        s
+        cdb_runtime::bindings_text(
+            self.results.iter().map(|(id, r)| (*id, r.as_ref().map(|q| &q.bindings))),
+        )
     }
 
     /// Fraction of HITs saved versus per-query billing (0 when batching

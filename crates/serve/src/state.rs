@@ -163,9 +163,18 @@ struct Inner {
     failed: u64,
     cancelled: u64,
     rejected: u64,
-    /// Server-side admission→first-binding latencies, real ms.
-    first_binding_ms: Vec<f64>,
+    /// Admission→first-binding histogram (real ms): per-bucket counts
+    /// over [`FIRST_BINDING_UPPERS`] and their sum, so memory stays
+    /// constant however many queries the server runs.
+    first_binding_counts: [u64; 8],
+    first_binding_sum: f64,
 }
+
+/// Bucket upper bounds (ms) of the admission→first-binding histogram:
+/// fixed and log-ish; the open final bucket catches throttled long-tail
+/// queries.
+const FIRST_BINDING_UPPERS: [f64; 8] =
+    [1.0, 5.0, 25.0, 100.0, 500.0, 2_500.0, 10_000.0, f64::INFINITY];
 
 /// The shared server state. One instance per server; handlers and
 /// execution workers share it behind an `Arc`.
@@ -214,7 +223,8 @@ impl ServerState {
                 failed: 0,
                 cancelled: 0,
                 rejected: 0,
-                first_binding_ms: Vec::new(),
+                first_binding_counts: [0; 8],
+                first_binding_sum: 0.0,
             }),
             wake: Condvar::new(),
             chunks: Condvar::new(),
@@ -392,7 +402,12 @@ impl ServerState {
                 let ms =
                     entry.admitted_at.map(|t| t.elapsed().as_secs_f64() * 1e3).unwrap_or_default();
                 entry.first_binding_ms = Some(ms);
-                inner.first_binding_ms.push(ms);
+                let i = FIRST_BINDING_UPPERS
+                    .iter()
+                    .position(|&u| ms <= u)
+                    .expect("`+Inf` catches everything");
+                inner.first_binding_counts[i] += 1;
+                inner.first_binding_sum += ms;
             }
             let new: Vec<Vec<u64>> =
                 new_bindings.iter().map(|b| b.iter().map(|n| n.0 as u64).collect()).collect();
@@ -726,22 +741,12 @@ impl ServerState {
             "Cents held or spent across all tenant envelopes",
             committed as f64,
         );
-        // Admission→first-binding latency, fixed log-ish buckets (ms);
-        // the open final bucket catches throttled long-tail queries.
-        let uppers = [1.0, 5.0, 25.0, 100.0, 500.0, 2_500.0, 10_000.0, f64::INFINITY];
-        let mut counts = [0u64; 8];
-        let mut sum = 0.0;
-        for &ms in &inner.first_binding_ms {
-            sum += ms;
-            let i = uppers.iter().position(|&u| ms <= u).expect("`+Inf` catches everything");
-            counts[i] += 1;
-        }
         p.histogram(
             "cdb_serve_first_binding_ms",
             "Admission to first streamed binding, real milliseconds",
-            &uppers,
-            &counts,
-            sum,
+            &FIRST_BINDING_UPPERS,
+            &inner.first_binding_counts,
+            inner.first_binding_sum,
         );
         drop(inner);
         text.push_str(&p.finish());

@@ -90,6 +90,10 @@ fn submit_stream_and_observe_end_to_end() {
     cdb_obsv::validate_exposition(&prom).expect("exposition validates");
     assert!(prom.contains("cdb_serve_queries_total{state=\"completed\"} 1"));
     assert!(prom.contains("cdb_tasks_dispatched_total"), "runtime families re-exposed");
+    assert!(
+        prom.contains("\ncdb_serve_first_binding_ms_count 1\n"),
+        "one query streamed a first binding: {prom}"
+    );
 
     // Replays of a finished stream are byte-identical.
     let replay = client.stream(query, |_| true).expect("replay");

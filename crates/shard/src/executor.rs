@@ -19,8 +19,8 @@ use cdb_core::model::NodeId;
 use cdb_core::ReuseSession;
 use cdb_crowd::{stream_key, SimTime};
 use cdb_runtime::{
-    execute_query, settled_facts, MetricsSnapshot, QueryJob, QueryResult, RuntimeConfig,
-    RuntimeError, RuntimeMetrics,
+    bindings_text, execute_query, settle_and_absorb, MetricsSnapshot, QueryJob, QueryResult,
+    RuntimeConfig, RuntimeError, RuntimeMetrics,
 };
 
 use crate::memory::{component_bytes, Arena, MemoryConfig, ShardError};
@@ -135,21 +135,7 @@ impl ShardReport {
     /// format as [`cdb_runtime::RuntimeReport::bindings_text`], so the
     /// sharded path can be compared byte-for-byte against the oracle.
     pub fn bindings_text(&self) -> String {
-        let mut out = String::new();
-        for (id, r) in &self.results {
-            match r {
-                Ok(q) => {
-                    let rows: Vec<String> = q
-                        .bindings
-                        .iter()
-                        .map(|b| b.iter().map(|n| n.0.to_string()).collect::<Vec<_>>().join("."))
-                        .collect();
-                    out.push_str(&format!("q{} answers=[{}]\n", id, rows.join("|")));
-                }
-                Err(e) => out.push_str(&format!("q{} error={}\n", id, e)),
-            }
-        }
-        out
+        bindings_text(self.results.iter().map(|(id, r)| (*id, r.as_ref().map(|q| &q.bindings))))
     }
 
     /// End-to-end virtual makespan: shards run concurrently, so the run
@@ -337,9 +323,6 @@ impl ShardExecutor {
                 }
             }
         });
-        // Absorb reuse sessions in (query, component) order after every
-        // shard joins — the same first-writer-wins, settle-before-absorb
-        // protocol as RuntimeExecutor, keyed by unit seed.
         let mut outcomes: Vec<UnitOutcome> = Vec::with_capacity(plans.len());
         for (pi, p) in plans.iter().enumerate() {
             let (result, to_global) =
@@ -348,21 +331,6 @@ impl ShardExecutor {
                 q.bindings = remap_bindings(&q.bindings, &to_global);
                 q
             });
-            if result.is_ok() {
-                if let (Some(cache), Some(session)) = (&self.cfg.runtime.reuse, &sessions[pi]) {
-                    let session = session.lock().expect("reuse session poisoned");
-                    let settled = match &self.cfg.runtime.settle {
-                        Some(hook) => {
-                            let facts = settled_facts(&self.cfg.runtime, &session);
-                            facts.is_empty() || hook.settle(p.unit, &facts).is_ok()
-                        }
-                        None => true,
-                    };
-                    if settled {
-                        cache.absorb(&session);
-                    }
-                }
-            }
             outcomes.push(UnitOutcome {
                 query: p.query,
                 component: p.component,
@@ -372,6 +340,15 @@ impl ShardExecutor {
                 result,
             });
         }
+        // Absorb reuse sessions in (query, component) order after every
+        // shard joins — the same first-writer-wins, settle-before-absorb
+        // protocol as RuntimeExecutor, keyed by unit seed.
+        settle_and_absorb(
+            &self.cfg.runtime,
+            outcomes.iter().zip(&sessions).filter_map(|(o, session)| {
+                session.as_deref().map(|session| (o.unit, o.result.is_ok(), session))
+            }),
+        );
         // Merge per query, in query-id order. A query whose graph
         // partitioned into zero components (no edges, no nodes that
         // could bind) merges to the empty answer set.
@@ -424,7 +401,10 @@ mod tests {
     use super::*;
     use cdb_core::executor::EdgeTruth;
     use cdb_core::model::PartKind;
-    use cdb_core::QueryGraph;
+    use cdb_core::{QueryGraph, ReuseCache, SettleSink, SettledFact};
+    use cdb_obsv::attr::names;
+    use cdb_obsv::{Ring, Trace};
+    use cdb_runtime::{FaultPlan, RetryPolicy, SettleHook};
 
     /// Two independent joins in one graph: `a_i ~ b_i` pairs (2 comps)
     /// with known truth.
@@ -499,6 +479,126 @@ mod tests {
             .run(vec![])
             .expect_err("zero shards");
         assert_eq!(err, ShardError::NoShards);
+    }
+
+    /// A settle sink that records calls and can be told to reject them.
+    #[derive(Debug, Default)]
+    struct RecordingSink {
+        settled: Mutex<Vec<(u64, usize)>>,
+        fail: bool,
+    }
+
+    impl SettleSink for RecordingSink {
+        fn settle(&self, unit: u64, facts: &[SettledFact]) -> Result<(), String> {
+            if self.fail {
+                return Err("injected durability failure".into());
+            }
+            self.settled.lock().expect("sink poisoned").push((unit, facts.len()));
+            Ok(())
+        }
+    }
+
+    /// A three-shard run over `jobs` with a fresh reuse cache and `sink`
+    /// as the settle hook.
+    fn settle_run(
+        runtime: RuntimeConfig,
+        sink: &Arc<RecordingSink>,
+        jobs: Vec<QueryJob>,
+    ) -> (ShardReport, Arc<ReuseCache>) {
+        let cache = Arc::new(ReuseCache::new());
+        let runtime = RuntimeConfig {
+            reuse: Some(Arc::clone(&cache)),
+            settle: Some(SettleHook::new(Arc::clone(sink) as Arc<dyn SettleSink>)),
+            ..runtime
+        };
+        let report =
+            ShardExecutor::new(ShardConfig { shards: 3, runtime, memory: MemoryConfig::default() })
+                .run(jobs)
+                .expect("plans");
+        (report, cache)
+    }
+
+    #[test]
+    fn settle_hook_runs_before_absorb_in_unit_order() {
+        let ring = Arc::new(Ring::with_capacity(1 << 14));
+        let sink = Arc::new(RecordingSink::default());
+        let runtime = RuntimeConfig {
+            threads: 2,
+            worker_accuracies: vec![1.0; 20],
+            trace: Trace::collector(Arc::clone(&ring) as Arc<dyn cdb_obsv::Collector>),
+            ..RuntimeConfig::default()
+        };
+        let (report, cache) = settle_run(runtime, &sink, (0..3).map(two_component_job).collect());
+        assert_eq!(report.ok_count(), 3);
+        assert!(!cache.is_empty(), "absorb still feeds the cache when settling succeeds");
+        let settled = sink.settled.lock().unwrap().clone();
+        let keys: Vec<u64> = settled.iter().map(|&(u, _)| u).collect();
+        let expected: Vec<u64> =
+            (0..3).flat_map(|q| (0..2).map(move |c| unit_seed(q, c))).collect();
+        assert_eq!(keys, expected, "settled in (query, component) order, keyed by unit");
+        let total: usize = settled.iter().map(|&(_, n)| n).sum();
+        assert!(total >= cache.len(), "settled {total} < cached {}", cache.len());
+        let events = ring.drain();
+        let settles = events.iter().filter(|e| e.name == names::STORE_SETTLE).count();
+        assert_eq!(settles, settled.len(), "one store.settle event per settled unit");
+    }
+
+    /// Two star components: `a_c` against `k` candidates `b_c_j`, of
+    /// which only `j = 0` matches — several tasks per unit, so a unit
+    /// can answer some of them before a fault fails it.
+    fn two_star_job(id: u64, k: usize) -> QueryJob {
+        let mut g = QueryGraph::new();
+        let a = g.add_part(PartKind::Table { name: "A".into() });
+        let b = g.add_part(PartKind::Table { name: "B".into() });
+        let p = g.add_predicate(a, b, true, "A~B");
+        let mut truth = EdgeTruth::new();
+        for c in 0..2 {
+            let x = g.add_node(a, None, format!("a{c}"));
+            for j in 0..k {
+                let y = g.add_node(b, None, format!("b{c}_{j}"));
+                let e = g.add_edge(x, y, p, 0.5);
+                truth.insert(e, j == 0);
+            }
+        }
+        QueryJob { id, graph: g, truth }
+    }
+
+    #[test]
+    fn failed_units_are_never_settled() {
+        // Faults with a single retry fail some units after they already
+        // collected answers: those partial answers must reach neither
+        // the sink nor the cache, while the healthy units still settle.
+        let sink = Arc::new(RecordingSink::default());
+        let runtime = RuntimeConfig {
+            threads: 2,
+            seed: 2,
+            worker_accuracies: vec![1.0; 20],
+            fault_plan: FaultPlan::uniform(2, 0.2),
+            retry: RetryPolicy { deadline_ms: 300_000, max_retries: 1 },
+            ..RuntimeConfig::default()
+        };
+        let (report, cache) =
+            settle_run(runtime, &sink, (0..4).map(|q| two_star_job(q, 4)).collect());
+        let (ok, failed): (Vec<&UnitOutcome>, Vec<&UnitOutcome>) =
+            report.units.iter().partition(|u| u.result.is_ok());
+        assert!(!ok.is_empty() && !failed.is_empty(), "the fault plan must fail some units");
+        let settled: Vec<u64> = sink.settled.lock().unwrap().iter().map(|&(u, _)| u).collect();
+        let ok_units: Vec<u64> = ok.iter().map(|u| u.unit).collect();
+        assert_eq!(settled, ok_units, "exactly the successful units settle, in unit order");
+        assert!(!cache.is_empty());
+    }
+
+    #[test]
+    fn settle_failure_keeps_answers_out_of_the_cache() {
+        let sink = Arc::new(RecordingSink { fail: true, ..RecordingSink::default() });
+        let runtime = RuntimeConfig {
+            threads: 2,
+            worker_accuracies: vec![1.0; 20],
+            ..RuntimeConfig::default()
+        };
+        let (report, cache) = settle_run(runtime, &sink, (0..3).map(two_component_job).collect());
+        assert_eq!(report.ok_count(), 3, "queries themselves still succeed");
+        assert!(cache.is_empty(), "unsettled answers leaked into the cache");
     }
 
     #[test]

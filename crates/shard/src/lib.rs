@@ -24,21 +24,15 @@
 //! - The [`merge`] layer reassembles per-component bindings in
 //!   deterministic component-id order and folds shard-local metrics
 //!   collectors into one fleet-wide snapshot by field-wise sum.
-//! - The [`Coordinator`] layers `cdb-sched`'s
-//!   admission envelope and DRR fair-share across shards, packing tasks
-//!   from units on different shards into shared HITs with cents-exact
-//!   attribution.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod coordinator;
 pub mod executor;
 pub mod memory;
 pub mod merge;
 pub mod partition;
 
-pub use coordinator::{Coordinator, CoordinatorConfig, CoordinatorReport, ShardSubmission};
 pub use executor::{
     all_bindings, unit_seed, ShardConfig, ShardExecutor, ShardReport, ShardStats, UnitOutcome,
     SHARD_STREAM,

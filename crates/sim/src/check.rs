@@ -14,8 +14,8 @@ use cdb_obsv::{Attribution, ConservationTotals, Ring, Trace};
 use cdb_runtime::{RuntimeExecutor, RuntimeReport, SettleHook};
 use cdb_sched::{DrrConfig, SchedConfig, SchedJob, Scheduler};
 use cdb_shard::{
-    partition as shard_partition, sum_snapshots, verify_partition, Component, Coordinator,
-    CoordinatorConfig, MemoryConfig, ShardConfig, ShardExecutor, ShardSubmission,
+    partition as shard_partition, sum_snapshots, verify_partition, Component, MemoryConfig,
+    ShardConfig, ShardExecutor,
 };
 use cdb_store::{DurableReuseCache, ScratchDir};
 
@@ -595,9 +595,7 @@ fn check_sched(
 ///    one shard): byte-identical bindings and byte-identical merged
 ///    metrics JSON — placement adds concurrency, never behavior.
 /// 3. **Cross-shard conservation**: the merged snapshot equals the
-///    field-wise sum of the shard-local collectors, and the coordinator's
-///    per-query cost attribution sums exactly to platform spend even when
-///    shared HITs pack tasks from units on different shards.
+///    field-wise sum of the shard-local collectors.
 /// 4. **Perfect-workers bridge**: with perfect workers and no
 ///    faults/budget, the sharded path recovers the same ground-truth
 ///    bindings as the monolithic runtime.
@@ -683,30 +681,6 @@ fn check_shard(
                 sharded.metrics.to_json()
             ),
         ));
-    }
-    let coord_cfg = CoordinatorConfig {
-        shard: shard_cfg(spec.shard_count),
-        drr: DrrConfig { quantum: spec.sched_quantum.max(1), capacity: None },
-        ..CoordinatorConfig::default()
-    };
-    match Coordinator::new(coord_cfg)
-        .run(jobs.iter().map(|j| ShardSubmission::unconstrained(j.clone())).collect())
-    {
-        Ok(coord) => {
-            let attributed: u64 = coord.attributed_cents.values().sum();
-            if attributed != coord.platform_cents {
-                v.push(Violation::new(
-                    "shard-conservation",
-                    format!(
-                        "coordinator attributed {} cents != platform {} cents",
-                        attributed, coord.platform_cents
-                    ),
-                ));
-            }
-        }
-        Err(e) => {
-            v.push(Violation::new("shard-conservation", format!("coordinator plan failed: {e}")));
-        }
     }
     // Per query that completed in *both* engines: a timing-tail retry
     // exhaustion (scenario deadlines can be tight) may fail a query in

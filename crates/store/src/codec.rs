@@ -1,5 +1,5 @@
-//! Hand-rolled little-endian binary codec. The vendored `serde` is an
-//! API stub (empty traits), so everything the store writes to disk is
+//! Hand-rolled little-endian binary codec. The workspace has no
+//! serialization framework, so everything the store writes to disk is
 //! encoded explicitly here: fixed-width integers plus length-prefixed
 //! UTF-8 strings, with a bounds-checked cursor for decoding.
 
@@ -10,11 +10,6 @@ pub fn put_u8_tag(buf: &mut Vec<u8>, v: u8) {
     buf.push(v);
 }
 
-/// Append a `u16` in little-endian order.
-pub fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
 /// Append a `u32` in little-endian order.
 pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
@@ -23,16 +18,6 @@ pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
 /// Append a `u64` in little-endian order.
 pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Append an `i64` in little-endian order.
-pub fn put_i64(buf: &mut Vec<u8>, v: i64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Append an `f64` as its IEEE-754 bit pattern.
-pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    buf.extend_from_slice(&v.to_bits().to_le_bytes());
 }
 
 /// Append a string as `u32` byte length followed by UTF-8 bytes.
@@ -86,12 +71,6 @@ impl<'a> Cursor<'a> {
         Ok(self.take(1, "u8")?[0])
     }
 
-    /// Read a little-endian `u16`.
-    pub fn u16(&mut self) -> Result<u16> {
-        let b = self.take(2, "u16")?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
     /// Read a little-endian `u32`.
     pub fn u32(&mut self) -> Result<u32> {
         let b = self.take(4, "u32")?;
@@ -102,17 +81,6 @@ impl<'a> Cursor<'a> {
     pub fn u64(&mut self) -> Result<u64> {
         let b = self.take(8, "u64")?;
         Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
-    }
-
-    /// Read a little-endian `i64`.
-    pub fn i64(&mut self) -> Result<i64> {
-        let b = self.take(8, "i64")?;
-        Ok(i64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
-    }
-
-    /// Read an IEEE-754 `f64`.
-    pub fn f64(&mut self) -> Result<f64> {
-        Ok(f64::from_bits(self.u64()?))
     }
 
     /// Read a `u32`-length-prefixed UTF-8 string.
@@ -140,20 +108,14 @@ mod tests {
     #[test]
     fn round_trips_every_type() {
         let mut buf = Vec::new();
-        put_u16(&mut buf, 0xBEEF);
         put_u32(&mut buf, 7);
         put_u64(&mut buf, u64::MAX - 1);
-        put_i64(&mut buf, -42);
-        put_f64(&mut buf, 2.5);
         put_str(&mut buf, "entailment");
         put_bool(&mut buf, true);
 
         let mut c = Cursor::new(&buf);
-        assert_eq!(c.u16().unwrap(), 0xBEEF);
         assert_eq!(c.u32().unwrap(), 7);
         assert_eq!(c.u64().unwrap(), u64::MAX - 1);
-        assert_eq!(c.i64().unwrap(), -42);
-        assert_eq!(c.f64().unwrap(), 2.5);
         assert_eq!(c.str().unwrap(), "entailment");
         assert!(c.bool().unwrap());
         assert!(c.is_empty());

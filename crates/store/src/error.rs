@@ -1,5 +1,5 @@
-//! Typed storage errors. Every failure mode of the paged store, the
-//! write-ahead log and recovery is a distinct variant, so callers (and
+//! Typed storage errors. Every failure mode of the write-ahead log and
+//! recovery is a distinct variant, so callers (and
 //! the `cdb-sim` recovery checker) can tell honest crash artifacts
 //! (a torn tail) from real corruption (a bad checksum mid-log).
 
@@ -20,26 +20,7 @@ pub enum StoreError {
         /// The operation that failed and the OS message.
         detail: String,
     },
-    /// A page read back from disk failed its checksum — the page was
-    /// torn mid-write or the file was corrupted at rest.
-    PageChecksum {
-        /// The page number that failed verification.
-        page: u32,
-    },
-    /// A page number beyond the end of the file was requested.
-    PageOutOfBounds {
-        /// The requested page.
-        page: u32,
-        /// Pages currently in the file.
-        count: u32,
-    },
-    /// The buffer pool has no evictable frame: every resident page is
-    /// pinned. Unpin something before pinning more.
-    PoolExhausted {
-        /// Configured frame capacity.
-        capacity: usize,
-    },
-    /// A record is too large for the slotted-page chunking limit.
+    /// A record is empty or too large for one WAL frame.
     RecordTooLarge {
         /// The record's size in bytes.
         len: usize,
@@ -55,17 +36,11 @@ pub enum StoreError {
         /// What failed (length, checksum, truncation).
         reason: String,
     },
-    /// A serialized structure (catalog, table, log record) failed to
-    /// decode.
+    /// A serialized log record failed to decode.
     Decode {
         /// What was being decoded and why it failed.
         detail: String,
     },
-    /// The database file has no valid meta page — it is not a cdb-store
-    /// file, or both meta slots were destroyed.
-    NoValidMeta,
-    /// An error bubbled up from the in-memory table layer.
-    Storage(cdb_storage::StorageError),
 }
 
 impl StoreError {
@@ -79,28 +54,13 @@ impl fmt::Display for StoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             StoreError::Io { kind, detail } => write!(f, "io error ({kind}): {detail}"),
-            StoreError::PageChecksum { page } => write!(f, "page {page} failed its checksum"),
-            StoreError::PageOutOfBounds { page, count } => {
-                write!(f, "page {page} out of bounds (file has {count})")
-            }
-            StoreError::PoolExhausted { capacity } => {
-                write!(f, "buffer pool exhausted: all {capacity} frames pinned")
-            }
             StoreError::RecordTooLarge { len } => write!(f, "record of {len} bytes is too large"),
             StoreError::WalCorrupt { segment, offset, reason } => {
                 write!(f, "wal segment {segment} corrupt at offset {offset}: {reason}")
             }
             StoreError::Decode { detail } => write!(f, "decode failed: {detail}"),
-            StoreError::NoValidMeta => write!(f, "no valid meta page (not a cdb-store file?)"),
-            StoreError::Storage(e) => write!(f, "storage: {e}"),
         }
     }
 }
 
 impl std::error::Error for StoreError {}
-
-impl From<cdb_storage::StorageError> for StoreError {
-    fn from(e: cdb_storage::StorageError) -> Self {
-        StoreError::Storage(e)
-    }
-}

@@ -1,10 +1,10 @@
-//! `cdb-store`: durable paged storage for CDB.
+//! `cdb-store`: durable crowd-answer storage for CDB.
 //!
 //! Crowd answers are the most expensive artifact a CDB deployment owns —
 //! the whole optimization story of *CDB: Optimizing Queries with
 //! Crowd-Based Selections and Joins* (SIGMOD 2017) exists to avoid
 //! buying an answer twice — yet without this crate a process restart
-//! forfeits every cent spent. `cdb-store` gives the three artifacts that
+//! forfeits every cent spent. `cdb-store` gives the two artifacts that
 //! matter a crash-safe home:
 //!
 //! 1. **The crowd answer + provenance log** ([`AnswerLog`]): every
@@ -16,35 +16,24 @@
 //!    [`cdb_core::ReuseCache`] rebuilt from the log on every open, so
 //!    cross-query entailment (transitivity-style inference) survives
 //!    restarts and never re-buys an answer.
-//! 3. **Durable tables** ([`Database`]): `cdb-storage` tables behind a
-//!    [`Database::open`] / [`Database::open_in_memory`] split; the
-//!    in-memory path and every existing caller are untouched.
 //!
-//! The substrate is deliberately classical: fixed-size slotted
-//! [pages](page) with CRC-32 checksums, a pinning [buffer pool](pager)
-//! with LRU eviction, and a length-prefixed, CRC-framed [write-ahead
-//! log](wal) with segment rotation and torn-tail repair. Recovery is
-//! verified end to end by `cdb-sim`'s kill-and-recover differential
-//! scenarios.
+//! The substrate is deliberately classical: a length-prefixed,
+//! CRC-framed [write-ahead log](wal) with segment rotation and torn-tail
+//! repair. Recovery is verified end to end by `cdb-sim`'s
+//! kill-and-recover differential scenarios.
 
 #![deny(missing_docs)]
 
 pub mod alog;
 pub mod codec;
 pub mod crc;
-pub mod db;
 pub mod dur;
 pub mod error;
-pub mod page;
-pub mod pager;
 pub mod scratch;
 pub mod wal;
 
 pub use alog::{AnswerLog, AnswerRecovery};
-pub use db::{Database, FlushStats};
 pub use dur::DurableReuseCache;
 pub use error::{Result, StoreError};
-pub use page::{Page, PAGE_SIZE};
-pub use pager::{BufferPool, Pager, RecordId};
 pub use scratch::ScratchDir;
 pub use wal::{RecoveryReport, Wal, DEFAULT_SEGMENT_BYTES};
