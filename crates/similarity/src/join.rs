@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 
-use crate::{qgrams, tokens, SimilarityFn, SimilarityMeasure};
+use crate::{overlap_tokens, qgrams, tokens, SimilarityFn, SimilarityMeasure};
 
 /// One pair produced by a similarity join: indexes into the two input slices
 /// plus the verified similarity.
@@ -23,8 +23,9 @@ pub struct SimJoinPair {
     pub sim: f64,
 }
 
-/// Record signature used by the prefix filter: the sorted token ids of a
-/// string under a global frequency order (rarest first).
+/// Record signature used by the prefix filter and by verification: the
+/// string's token set as sorted, deduplicated ids under a global frequency
+/// order (rarest first).
 struct Signature {
     tokens: Vec<u32>,
 }
@@ -96,7 +97,11 @@ fn length_filter_slack(la: f64, lb: f64) -> f64 {
 /// 0.5), matching the paper's ablation.
 ///
 /// Every returned pair is *verified* with the exact measure, so the result
-/// is exactly the set of pairs at or above the threshold.
+/// is exactly the set of pairs at or above the threshold — except that under
+/// the Jaccard measures a value with an empty token set (`""`, as a CNULL
+/// cell renders, or punctuation-only text under `TokenJaccard`) pairs with
+/// nothing, although `f.similarity("", "")` is 1.0: a blank crowd-fillable
+/// cell must not crowd-join every other blank.
 pub fn similarity_join(
     left: &[&str],
     right: &[&str],
@@ -110,26 +115,6 @@ pub fn similarity_join(
         }
         SimilarityFn::Cosine | SimilarityFn::EditDistance | SimilarityFn::NoSim => {
             verify_all_pairs(left, right, f, eps)
-        }
-    }
-}
-
-/// Self-join variant: all unordered pairs `(i, j)` with `i < j` and
-/// similarity at least `eps` within a single value list.
-///
-/// Enumerates the upper triangle directly rather than running the
-/// bipartite join on `(values, values)` and discarding half the output:
-/// each record probes only records before it, so candidate generation and
-/// verification cost half the bipartite version, and degenerate measures
-/// (`NoSim` admits everything) never verify the diagonal `(i, i)`.
-pub fn similarity_join_self(values: &[&str], f: SimilarityFn, eps: f64) -> Vec<SimJoinPair> {
-    assert!((0.0..=1.0).contains(&eps), "threshold must be in [0, 1]");
-    match f {
-        SimilarityFn::TokenJaccard | SimilarityFn::QGramJaccard { .. } => {
-            prefix_filter_join_self(values, f, eps)
-        }
-        SimilarityFn::Cosine | SimilarityFn::EditDistance | SimilarityFn::NoSim => {
-            verify_upper_pairs(values, f, eps)
         }
     }
 }
@@ -179,75 +164,18 @@ fn prefix_filter_join(
             if lb < eps * la - slack || (eps > 0.0 && lb > la / eps + slack) {
                 continue;
             }
-            let sim = f.similarity(left[i], right[j]);
+            // Verify on the interned ids: the same set sizes and the same
+            // division as `jaccard_tokens`, so `sim` is bit-identical to
+            // `f.similarity(left[i], right[j])` without re-tokenizing.
+            let inter = overlap_tokens(&sig.tokens, &rsigs[j].tokens);
+            let union = sig.tokens.len() + rsigs[j].tokens.len() - inter;
+            let sim = inter as f64 / union as f64;
             if sim >= eps {
                 out.push(SimJoinPair { left: i, right: j, sim });
             }
         }
     }
     out.sort_by_key(|a| (a.left, a.right));
-    out
-}
-
-/// Upper-triangle prefix-filter join over one list: record `i` probes the
-/// index of records `0..i`, then posts its own prefix tokens — every
-/// candidate pair is generated exactly once, as `(j, i)` with `j < i`.
-fn prefix_filter_join_self(values: &[&str], f: SimilarityFn, eps: f64) -> Vec<SimJoinPair> {
-    let sigs = build_signatures(values, f);
-    let mut index: HashMap<u32, Vec<usize>> = HashMap::new();
-    let mut out = Vec::new();
-    let mut seen: Vec<usize> = Vec::new(); // generation-stamped dedup
-    let mut stamp = vec![usize::MAX; values.len()];
-    for (i, sig) in sigs.iter().enumerate() {
-        seen.clear();
-        let plen = jaccard_prefix_len(sig.tokens.len(), eps).min(sig.tokens.len());
-        for &t in &sig.tokens[..plen] {
-            if let Some(cands) = index.get(&t) {
-                for &j in cands {
-                    if stamp[j] != i {
-                        stamp[j] = i;
-                        seen.push(j);
-                    }
-                }
-            }
-        }
-        for &j in &seen {
-            let (la, lb) = (sigs[j].tokens.len() as f64, sig.tokens.len() as f64);
-            let slack = length_filter_slack(la, lb);
-            if lb < eps * la - slack || (eps > 0.0 && lb > la / eps + slack) {
-                continue;
-            }
-            let sim = f.similarity(values[j], values[i]);
-            if sim >= eps {
-                out.push(SimJoinPair { left: j, right: i, sim });
-            }
-        }
-        for &t in &sig.tokens[..plen] {
-            index.entry(t).or_default().push(i);
-        }
-    }
-    out.sort_by_key(|a| (a.left, a.right));
-    out
-}
-
-/// Exact verification over the upper triangle (`i < j` only).
-fn verify_upper_pairs(values: &[&str], f: SimilarityFn, eps: f64) -> Vec<SimJoinPair> {
-    let mut out = Vec::new();
-    for (i, a) in values.iter().enumerate() {
-        for (j, b) in values.iter().enumerate().skip(i + 1) {
-            if f == SimilarityFn::EditDistance {
-                let (la, lb) = (a.chars().count(), b.chars().count());
-                let max_len = la.max(lb);
-                if max_len > 0 && (la.abs_diff(lb) as f64) > (1.0 - eps) * max_len as f64 {
-                    continue;
-                }
-            }
-            let sim = f.similarity(a, b);
-            if sim >= eps {
-                out.push(SimJoinPair { left: i, right: j, sim });
-            }
-        }
-    }
     out
 }
 
@@ -276,23 +204,33 @@ fn verify_all_pairs(left: &[&str], right: &[&str], f: SimilarityFn, eps: f64) ->
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::collections::BTreeSet;
 
-    fn brute_force(
-        left: &[&str],
-        right: &[&str],
-        f: SimilarityFn,
-        eps: f64,
-    ) -> BTreeSet<(usize, usize)> {
-        let mut out = BTreeSet::new();
+    /// `(left, right, sim.to_bits())`: a join pair compared to the last bit.
+    type Triple = (usize, usize, u64);
+
+    /// The join's contract, pair by pair: every `(i, j, sim bits)` at or
+    /// above `eps` under the exact measure, except values with an empty
+    /// token set, which pair with nothing.
+    fn brute_force(left: &[&str], right: &[&str], f: SimilarityFn, eps: f64) -> Vec<Triple> {
+        let blank = |s: &str| match f {
+            SimilarityFn::TokenJaccard => tokens(s).is_empty(),
+            SimilarityFn::QGramJaccard { q } => qgrams(s, q).is_empty(),
+            _ => false,
+        };
+        let mut out = Vec::new();
         for (i, a) in left.iter().enumerate() {
             for (j, b) in right.iter().enumerate() {
-                if f.similarity(a, b) >= eps {
-                    out.insert((i, j));
+                let sim = f.similarity(a, b);
+                if sim >= eps && !blank(a) && !blank(b) {
+                    out.push((i, j, sim.to_bits()));
                 }
             }
         }
         out
+    }
+
+    fn triples(pairs: Vec<SimJoinPair>) -> Vec<Triple> {
+        pairs.into_iter().map(|p| (p.left, p.right, p.sim.to_bits())).collect()
     }
 
     #[test]
@@ -306,10 +244,7 @@ mod tests {
             "University of Cambridge",
         ];
         for f in [SimilarityFn::QGramJaccard { q: 2 }, SimilarityFn::TokenJaccard] {
-            let got: BTreeSet<(usize, usize)> = similarity_join(&left, &right, f, 0.3)
-                .into_iter()
-                .map(|p| (p.left, p.right))
-                .collect();
+            let got = triples(similarity_join(&left, &right, f, 0.3));
             assert_eq!(got, brute_force(&left, &right, f, 0.3), "{f:?}");
         }
     }
@@ -321,16 +256,6 @@ mod tests {
         let pairs = similarity_join(&left, &right, SimilarityFn::QGramJaccard { q: 2 }, 0.3);
         let exact = pairs.iter().find(|p| p.right == 0).unwrap();
         assert_eq!(exact.sim, 1.0);
-    }
-
-    #[test]
-    fn self_join_excludes_self_and_mirror_pairs() {
-        let vals = ["sigmod16", "sigmod14", "icde"];
-        let pairs = similarity_join_self(&vals, SimilarityFn::QGramJaccard { q: 2 }, 0.3);
-        for p in &pairs {
-            assert!(p.left < p.right);
-        }
-        assert!(pairs.iter().any(|p| (p.left, p.right) == (0, 1)));
     }
 
     #[test]
@@ -358,6 +283,18 @@ mod tests {
         let none: [&str; 0] = [];
         assert!(similarity_join(&none, &["x"], SimilarityFn::default(), 0.3).is_empty());
         assert!(similarity_join(&["x"], &none, SimilarityFn::default(), 0.3).is_empty());
+    }
+
+    #[test]
+    fn blank_and_punctuation_only_values_pair_with_nothing() {
+        // `similarity("", "")` is 1.0, but a blank (CNULL) cell must not
+        // crowd-join every other blank: empty token sets get no prefix.
+        let left = ["", "...", "?!"];
+        let right = ["", "-- --", ";"];
+        for f in [SimilarityFn::QGramJaccard { q: 2 }, SimilarityFn::TokenJaccard] {
+            assert_eq!(f.similarity("", ""), 1.0, "{f:?}");
+            assert!(similarity_join(&left, &right, f, 0.3).is_empty(), "{f:?}");
+        }
     }
 
     #[test]
@@ -399,85 +336,31 @@ mod tests {
             let vals = sliding_corpus(len);
             let refs: Vec<&str> = vals.iter().map(String::as_str).collect();
             for &eps in &[0.5, 0.8, 0.9] {
-                let got: BTreeSet<(usize, usize)> =
-                    similarity_join(&refs, &refs, SimilarityFn::TokenJaccard, eps)
-                        .into_iter()
-                        .map(|p| (p.left, p.right))
-                        .collect();
+                let got = triples(similarity_join(&refs, &refs, SimilarityFn::TokenJaccard, eps));
                 let want = brute_force(&refs, &refs, SimilarityFn::TokenJaccard, eps);
                 assert_eq!(got, want, "len={len} eps={eps}");
             }
         }
     }
 
-    #[test]
-    fn self_join_grid_matches_upper_triangle_brute_force() {
-        for &len in &[5usize, 10, 20] {
-            let vals = sliding_corpus(len);
-            let refs: Vec<&str> = vals.iter().map(String::as_str).collect();
-            for &eps in &[0.5, 0.8, 0.9] {
-                let got: BTreeSet<(usize, usize)> =
-                    similarity_join_self(&refs, SimilarityFn::TokenJaccard, eps)
-                        .into_iter()
-                        .map(|p| (p.left, p.right))
-                        .collect();
-                let want: BTreeSet<(usize, usize)> =
-                    brute_force(&refs, &refs, SimilarityFn::TokenJaccard, eps)
-                        .into_iter()
-                        .filter(|&(i, j)| i < j)
-                        .collect();
-                assert_eq!(got, want, "len={len} eps={eps}");
-            }
-        }
-    }
-
-    #[test]
-    fn nosim_self_join_enumerates_each_unordered_pair_once() {
-        // n(n-1)/2 pairs, no diagonal: the self-join no longer runs the
-        // bipartite product and filters.
-        let vals = ["a", "b", "c", "d", "e"];
-        let pairs = similarity_join_self(&vals, SimilarityFn::NoSim, 0.3);
-        assert_eq!(pairs.len(), 5 * 4 / 2);
-        for p in &pairs {
-            assert!(p.left < p.right);
-            assert_eq!(p.sim, 0.5);
-        }
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
+        /// The reference for bit-identity: the id-merge verification must
+        /// reproduce `f.similarity` to the last bit, across case folding,
+        /// punctuation and multi-byte char-window q-grams.
         #[test]
         fn prefix_filter_join_equals_brute_force(
-            left in prop::collection::vec("[a-d]{1,8}( [a-d]{1,8})?", 0..12),
-            right in prop::collection::vec("[a-d]{1,8}( [a-d]{1,8})?", 0..12),
+            left in prop::collection::vec("[a-dA-D.,é]{1,8}( [a-dA-D.,é]{1,8})?", 0..12),
+            right in prop::collection::vec("[a-dA-D.,é]{1,8}( [a-dA-D.,é]{1,8})?", 0..12),
             eps in 0.1f64..0.9,
+            q in 1usize..4,
         ) {
             let l: Vec<&str> = left.iter().map(String::as_str).collect();
             let r: Vec<&str> = right.iter().map(String::as_str).collect();
-            for f in [SimilarityFn::QGramJaccard { q: 2 }, SimilarityFn::TokenJaccard] {
-                let got: BTreeSet<(usize, usize)> = similarity_join(&l, &r, f, eps)
-                    .into_iter().map(|p| (p.left, p.right)).collect();
-                prop_assert_eq!(got, brute_force(&l, &r, f, eps));
-            }
-        }
-
-        #[test]
-        fn self_join_equals_filtered_bipartite_join(
-            vals in prop::collection::vec("[a-d]{1,8}( [a-d]{1,8})?", 0..12),
-            eps in 0.1f64..0.9,
-        ) {
-            let v: Vec<&str> = vals.iter().map(String::as_str).collect();
-            for f in [
-                SimilarityFn::QGramJaccard { q: 2 },
-                SimilarityFn::TokenJaccard,
-                SimilarityFn::EditDistance,
-            ] {
-                let got: BTreeSet<(usize, usize)> = similarity_join_self(&v, f, eps)
-                    .into_iter().map(|p| (p.left, p.right)).collect();
-                let want: BTreeSet<(usize, usize)> = brute_force(&v, &v, f, eps)
-                    .into_iter().filter(|&(i, j)| i < j).collect();
-                prop_assert_eq!(got, want, "{:?}", f);
+            for f in [SimilarityFn::QGramJaccard { q }, SimilarityFn::TokenJaccard] {
+                let got = triples(similarity_join(&l, &r, f, eps));
+                prop_assert_eq!(got, brute_force(&l, &r, f, eps), "{:?}", f);
             }
         }
     }

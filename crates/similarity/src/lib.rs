@@ -24,7 +24,7 @@ mod join;
 mod measures;
 mod tokenize;
 
-pub use join::{similarity_join, similarity_join_self, SimJoinPair};
+pub use join::{similarity_join, SimJoinPair};
 pub use measures::{
     cosine_tokens, edit_distance, jaccard_tokens, normalized_edit_similarity, overlap_tokens,
 };

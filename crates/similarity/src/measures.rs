@@ -62,8 +62,9 @@ pub fn cosine_tokens(a: &[String], b: &[String]) -> f64 {
     inter as f64 / ((a.len() as f64) * (b.len() as f64)).sqrt()
 }
 
-/// Size of the intersection of two sorted, deduplicated token slices.
-pub fn overlap_tokens(a: &[String], b: &[String]) -> usize {
+/// Size of the intersection of two sorted, deduplicated token slices
+/// (token strings, or the interned token ids of the similarity join).
+pub fn overlap_tokens<T: Ord>(a: &[T], b: &[T]) -> usize {
     let (mut i, mut j, mut inter) = (0, 0, 0);
     while i < a.len() && j < b.len() {
         match a[i].cmp(&b[j]) {
