@@ -4,9 +4,9 @@
 //! Two things this bench demonstrates beyond raw numbers:
 //!
 //! * **Concurrency**: the fleet's *virtual* cost is the sum of per-query
-//!   makespans, but the scheduler runs queries in parallel, so wall-clock
-//!   per query shrinks as threads grow (and `steals > 0` shows work
-//!   actually migrated between threads).
+//!   makespans, but the scheduler runs queries in parallel on scoped
+//!   threads pulling from a shared cursor, so wall-clock per query
+//!   shrinks as threads grow.
 //! * **Fault tolerance is not free**: the faulted groups pay extra rounds
 //!   (timeouts + reassignments) but still answer every query.
 
@@ -80,8 +80,8 @@ fn bench_concurrency_evidence(c: &mut Criterion) {
     );
     println!(
         "# concurrency: serial virtual cost {serial} ms, slowest query {max} ms, \
-         wall {:?}, steals {}",
-        report.wall, report.steals
+         wall {:?}",
+        report.wall
     );
 
     let mut group = c.benchmark_group("runtime_fleet_overhead");

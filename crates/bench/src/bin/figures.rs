@@ -6,8 +6,10 @@
 //!
 //! targets: fig8 fig9 fig10 fig11 fig14 fig15 fig16 fig17 fig18 fig19
 //!          fig20 fig21 fig22 fig23 fig24 table2 table3 table4 table5
-//!          example runtime reuse sched trace sim store perf shard serve
-//!          all
+//!          example ablations runtime reuse sched trace sim store perf
+//!          shard serve all
+//!
+//! An unknown target prints the usage line and exits 2.
 //!
 //! `reuse` sweeps the cross-query answer-reuse cache (on/off × fault
 //! rate) over the self-join fleet and checks the dispatched-task
@@ -85,6 +87,12 @@ struct Args {
     target: String,
 }
 
+/// Every target `main` runs. Anything else is a typo and must fail the
+/// invocation rather than silently print nothing.
+const TARGETS: &str = "fig8 fig9 fig10 fig11 fig14 fig15 fig16 fig17 fig18 fig19 fig20 fig21 \
+    fig22 fig23 fig24 table2 table3 table4 table5 example ablations runtime reuse sched trace sim \
+    store perf shard serve all";
+
 fn parse_args() -> Args {
     let mut args =
         Args { scale: 10, reps: 3, seed: 42, iters: 100, quick: false, target: String::new() };
@@ -99,8 +107,8 @@ fn parse_args() -> Args {
             other => args.target = other.to_string(),
         }
     }
-    if args.target.is_empty() {
-        eprintln!("usage: figures [--scale N] [--reps R] [--seed S] [--iters N] [--quick] <fig8..fig24|table2..table5|example|runtime|reuse|sched|trace|sim|store|perf|shard|serve|all>");
+    if !TARGETS.split_whitespace().any(|t| t == args.target) {
+        eprintln!("usage: figures [--scale N] [--reps R] [--seed S] [--iters N] [--quick] <fig8..fig24|table2..table5|example|ablations|runtime|reuse|sched|trace|sim|store|perf|shard|serve|all>");
         std::process::exit(2);
     }
     args
@@ -541,8 +549,8 @@ fn ablations(args: &Args) {
     println!();
 }
 
-/// Runtime: a concurrent fleet of queries through the work-stealing
-/// scheduler, sweeping thread count × fault rate, plus the full
+/// Runtime: a concurrent fleet of queries on scoped threads pulling from
+/// a shared cursor, sweeping thread count × fault rate, plus the full
 /// `RuntimeMetrics` telemetry of one representative faulted run as JSON.
 fn runtime(args: &Args) {
     use cdb_bench::runtime_fleet;
@@ -567,15 +575,15 @@ fn runtime(args: &Args) {
     };
 
     println!(
-        "{:<9}{:<8}{:>9}{:>11}{:>13}{:>13}{:>9}{:>8}",
-        "threads", "faults", "ok", "q_per_s", "wall_ms", "virtual_s", "rounds", "steals"
+        "{:<9}{:<8}{:>9}{:>11}{:>13}{:>13}{:>9}",
+        "threads", "faults", "ok", "q_per_s", "wall_ms", "virtual_s", "rounds"
     );
     for &threads in &[1usize, 2, 4, 8] {
         for &fault_rate in &[0.0f64, 0.1, 0.3] {
             let report = run(threads, fault_rate);
             let wall = report.wall.as_secs_f64();
             println!(
-                "{:<9}{:<8}{:>9}{:>11.1}{:>13.1}{:>13.1}{:>9}{:>8}",
+                "{:<9}{:<8}{:>9}{:>11.1}{:>13.1}{:>13.1}{:>9}",
                 threads,
                 fault_rate,
                 report.ok_count(),
@@ -583,7 +591,6 @@ fn runtime(args: &Args) {
                 wall * 1e3,
                 report.virtual_ms_serial() as f64 / 1e3,
                 report.metrics.rounds,
-                report.steals,
             );
         }
     }

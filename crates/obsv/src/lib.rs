@@ -18,8 +18,8 @@
 //!   collector ([`Trace::off`] — tracing compiled in but zero work done),
 //!   a fan-out, a context wrapper that stamps every event with the query
 //!   it belongs to, and [`Ring`] — a lock-free bounded MPMC ring buffer
-//!   with drop-counting, so tracing can never block the work-stealing
-//!   pool.
+//!   with drop-counting, so tracing can never block the query worker
+//!   threads.
 //! * **Attribution** ([`attr`]): fold an event stream into per-query /
 //!   per-plan-node / per-round rollups of money (task price × dispatches),
 //!   virtual latency and quality (decision confidence, vote entropy), with

@@ -1,21 +1,21 @@
 //! The concurrent query scheduler.
 //!
-//! [`RuntimeExecutor`] runs many crowd queries at once: query jobs are
-//! dealt across a work-stealing [`ThreadPool`], each job drives the core
+//! [`RuntimeExecutor`] runs many crowd queries at once: query jobs run on
+//! scoped threads pulling from a shared cursor, each job drives the core
 //! round loop ([`cdb_core::Executor`]) against its own per-query
-//! [`RuntimeEngine`], and results flow back over a *bounded* channel —
-//! workers block when the collector lags, which is the backpressure that
-//! keeps memory flat at any fleet size.
+//! [`RuntimeEngine`], and writes its result into its own slot.
 //!
 //! Determinism: each query's platform seed, executor seed and fault
 //! stream are keyed by `(runtime seed, query id)` via
 //! [`cdb_crowd::stream_key`], so a query's outcome is a pure function of
-//! the configuration — never of which thread ran it or when. Results are
-//! sorted by query id before reporting. Consequently
-//! [`RuntimeReport::answers`] is byte-identical across thread counts for
-//! a fixed `(seed, fault plan)` — the deterministic-replay guarantee.
+//! the configuration — never of which thread ran it or when. Jobs are
+//! sorted by query id before they run and results land in the same
+//! order. Consequently [`RuntimeReport::answers`] is byte-identical
+//! across thread counts for a fixed `(seed, fault plan)` — the
+//! deterministic-replay guarantee.
 
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -29,13 +29,11 @@ use cdb_obsv::{kv, Event, SpanId, Trace};
 use crate::engine::RuntimeEngine;
 use crate::fault::{FaultPlan, RetryPolicy, RuntimeError};
 use crate::metrics::{MetricsSnapshot, RuntimeMetrics};
-use crate::pool::ThreadPool;
-use crate::sync;
 
 /// Scheduler configuration.
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
-    /// Worker threads in the pool.
+    /// Most worker threads a fleet runs on.
     pub threads: usize,
     /// Root seed; every per-query stream is keyed off it.
     pub seed: u64,
@@ -53,17 +51,15 @@ pub struct RuntimeConfig {
     pub exec: ExecutorConfig,
     /// Close tasks early once votes are beyond overturning (CDAS).
     pub early_termination: bool,
-    /// Capacity of the bounded result channel (backpressure).
-    pub result_capacity: usize,
     /// Observability sink. Off by default (zero cost); when attached,
     /// every query's events are tagged with its `q` id and its span ids
     /// are salted into a per-query namespace before reaching the sink.
     pub trace: Trace,
     /// Cross-query answer-reuse cache. `None` disables reuse. When set,
-    /// the run snapshots the cache once before scattering jobs, hands
+    /// the run snapshots the cache once before any job starts, hands
     /// every query a private [`ReuseSession`], and absorbs the sessions
-    /// of *successful* queries back in query-id order after the pool
-    /// joins (failed queries' sessions are discarded: their post-error
+    /// of *successful* queries back in query-id order after every job
+    /// finishes (failed queries' sessions are discarded: their post-error
     /// colors carry no crowd evidence) — so per-query outcomes stay a
     /// pure function of `(config, job, snapshot)` at any thread count,
     /// and knowledge compounds across fleet runs sharing the same cache.
@@ -167,7 +163,6 @@ impl Default for RuntimeConfig {
             retry: RetryPolicy::default(),
             exec: ExecutorConfig::default(),
             early_termination: false,
-            result_capacity: 8,
             trace: Trace::off(),
             reuse: None,
             settle: None,
@@ -222,8 +217,6 @@ pub struct RuntimeReport {
     pub metrics: MetricsSnapshot,
     /// Real (wall-clock) time the run took.
     pub wall: Duration,
-    /// Jobs run by a thread other than the one they were dealt to.
-    pub steals: u64,
 }
 
 impl RuntimeReport {
@@ -294,57 +287,53 @@ impl RuntimeExecutor {
         RuntimeExecutor { cfg }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &RuntimeConfig {
-        &self.cfg
-    }
-
     /// Run every job to completion and report. Jobs execute concurrently
-    /// (up to `threads` at once, work-stealing); results are reported in
-    /// query-id order regardless of completion order.
-    pub fn run(&self, jobs: Vec<QueryJob>) -> RuntimeReport {
+    /// on `min(threads, jobs)` scoped threads, each taking the next job
+    /// off a shared cursor; results are reported in query-id order
+    /// regardless of completion order. A panicking query panics `run`
+    /// once every other job has finished.
+    pub fn run(&self, mut jobs: Vec<QueryJob>) -> RuntimeReport {
         let start = Instant::now();
         let metrics = Arc::new(RuntimeMetrics::new());
-        let pool = ThreadPool::new(self.cfg.threads);
-        let (tx, rx) = sync::bounded(self.cfg.result_capacity.max(1));
-        let n = jobs.len();
-        let cfg = Arc::new(self.cfg.clone());
-        // Answer reuse: snapshot the shared cache ONCE, before any job
-        // runs. Every query resolves against the same frozen knowledge, so
-        // which thread runs first cannot change what a query sees.
-        let mut sessions: Vec<(u64, Arc<Mutex<ReuseSession>>)> = Vec::new();
-        if let Some(cache) = &self.cfg.reuse {
-            sessions =
-                jobs.iter().map(|job| (job.id, Arc::new(Mutex::new(cache.snapshot())))).collect();
-            sessions.sort_by_key(|&(id, _)| id);
-        }
-        pool.scatter(jobs.into_iter().map(|job| {
-            let tx = tx.clone();
-            let metrics = Arc::clone(&metrics);
-            let cfg = Arc::clone(&cfg);
-            let session =
-                sessions.iter().find(|&&(id, _)| id == job.id).map(|(_, s)| Arc::clone(s));
-            move || {
-                let out = execute_query(&cfg, &metrics, job, session);
-                // The collector outlives the workers; a send can only fail
-                // if the whole run was abandoned.
-                let _ = tx.send(out);
+        jobs.sort_by_key(|job| job.id);
+        // Answer reuse: every query's snapshot of the shared cache is taken
+        // before any job runs. Every query resolves against the same frozen
+        // knowledge, so which thread runs first cannot change what a
+        // query sees.
+        let sessions: Vec<Option<Arc<Mutex<ReuseSession>>>> = jobs
+            .iter()
+            .map(|_| self.cfg.reuse.as_ref().map(|cache| Arc::new(Mutex::new(cache.snapshot()))))
+            .collect();
+        let jobs: Vec<Mutex<Option<QueryJob>>> =
+            jobs.into_iter().map(|job| Mutex::new(Some(job))).collect();
+        let slots: Vec<Mutex<Option<_>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
+        let cursor = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..self.cfg.threads.min(jobs.len()) {
+                scope.spawn(|| loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    let Some(job) = jobs.get(i) else { break };
+                    let job =
+                        job.lock().expect("job slot poisoned").take().expect("job taken once");
+                    let out = execute_query(&self.cfg, &metrics, job, sessions[i].clone());
+                    *slots[i].lock().expect("result slot poisoned") = Some(out);
+                });
             }
-        }));
-        drop(tx);
-        let mut results: Vec<(u64, Result<QueryResult, RuntimeError>)> =
-            (0..n).map(|_| rx.recv().expect("every job reports")).collect();
-        pool.join();
+        });
+        let results: Vec<(u64, Result<QueryResult, RuntimeError>)> = slots
+            .into_iter()
+            .map(|slot| {
+                slot.into_inner().expect("result slot poisoned").expect("every job reports")
+            })
+            .collect();
         // `sessions` is in query-id order: the lowest-id writer wins.
-        let failed: BTreeSet<u64> =
-            results.iter().filter(|(_, r)| r.is_err()).map(|&(id, _)| id).collect();
         settle_and_absorb(
             &self.cfg,
-            sessions.iter().map(|(id, session)| (*id, !failed.contains(id), &**session)),
+            results.iter().zip(&sessions).filter_map(|((id, r), session)| {
+                session.as_deref().map(|session| (*id, r.is_ok(), session))
+            }),
         );
-        let steals = pool.steals();
-        results.sort_by_key(|&(id, _)| id);
-        RuntimeReport { results, metrics: metrics.snapshot(), wall: start.elapsed(), steals }
+        RuntimeReport { results, metrics: metrics.snapshot(), wall: start.elapsed() }
     }
 }
 
@@ -439,7 +428,7 @@ pub fn settled_facts(cfg: &RuntimeConfig, session: &ReuseSession) -> Vec<Settled
 /// the shared `metrics` is write-only telemetry.
 ///
 /// This is the *seedable scheduler hook*: [`RuntimeExecutor::run`] calls
-/// it from its thread pool, but external harnesses (the `cdb-sim`
+/// it from its fleet threads, but external harnesses (the `cdb-sim`
 /// differential oracle) can call it directly, one query at a time in any
 /// order, and must observe byte-identical outcomes — the scheduler only
 /// adds concurrency, never behavior. All randomness is keyed by
@@ -811,5 +800,63 @@ mod tests {
         let m = &report.metrics;
         assert!(m.dropouts + m.abandons + m.slowdowns > 0, "faults were injected");
         assert!(m.reassignments > 0, "dropped work was reassigned");
+    }
+
+    /// Run `run` on a helper thread: `Some(report)` if it returned, `None`
+    /// if it panicked. A hang fails the test after 30 s instead of wedging
+    /// the suite.
+    fn run_within_30s(cfg: RuntimeConfig, jobs: Vec<QueryJob>) -> Option<RuntimeReport> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(RuntimeExecutor::new(cfg).run(jobs));
+        });
+        match rx.recv_timeout(Duration::from_secs(30)) {
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => panic!("run hung"),
+            done => done.ok(),
+        }
+    }
+
+    /// Each query waits at the barrier the first time it finishes round 1,
+    /// so the fleet gets past round 1 only if two queries run at once.
+    struct BarrierSink(std::sync::Barrier, Mutex<BTreeSet<u64>>);
+
+    impl RoundSink for BarrierSink {
+        fn on_round(&self, query: u64, round: u64, _: &[Vec<NodeId>]) -> bool {
+            if round == 1 && self.1.lock().unwrap().insert(query) {
+                self.0.wait();
+            }
+            true
+        }
+    }
+
+    #[test]
+    fn fleet_runs_queries_concurrently() {
+        let sink = BarrierSink(std::sync::Barrier::new(2), Mutex::default());
+        let cfg = RuntimeConfig {
+            threads: 2,
+            round_sink: Some(RoundHook::new(Arc::new(sink))),
+            ..RuntimeConfig::default()
+        };
+        assert_eq!(run_within_30s(cfg, jobs(2)).expect("no query panics").ok_count(), 2);
+    }
+
+    /// Panics inside query 3's first round.
+    struct PanickingSink;
+
+    impl RoundSink for PanickingSink {
+        fn on_round(&self, query: u64, _: u64, _: &[Vec<NodeId>]) -> bool {
+            assert_ne!(query, 3, "injected panic in query 3");
+            true
+        }
+    }
+
+    #[test]
+    fn a_panicking_query_panics_run_instead_of_hanging() {
+        let cfg = RuntimeConfig {
+            threads: 2,
+            round_sink: Some(RoundHook::new(Arc::new(PanickingSink))),
+            ..RuntimeConfig::default()
+        };
+        assert!(run_within_30s(cfg, jobs(6)).is_none(), "run returned despite a panicking query");
     }
 }

@@ -6,10 +6,9 @@
 //! HITs — and a deployment runs *many* queries at once. This crate adds
 //! that missing layer on top of `cdb-core`'s optimizer:
 //!
-//! * **Scheduling** ([`RuntimeExecutor`], [`pool::ThreadPool`]): query
-//!   jobs are dealt across a work-stealing thread pool and stream results
-//!   back over a bounded channel ([`sync`]) whose blocking `send` is the
-//!   backpressure.
+//! * **Scheduling** ([`RuntimeExecutor`]): a fleet of query jobs runs on
+//!   scoped threads pulling from a shared cursor; each result lands in
+//!   its job's slot, so results come back in query-id order.
 //! * **Virtual time** ([`engine::RuntimeEngine`] + `cdb-crowd`'s
 //!   [`cdb_crowd::LatencyModel`]/[`cdb_crowd::OpenRound`]): rounds
 //!   complete as answers arrive on a simulated clock, not in lockstep.
@@ -31,8 +30,6 @@
 pub mod engine;
 pub mod fault;
 pub mod metrics;
-pub mod pool;
-pub mod sync;
 
 mod executor;
 
@@ -43,4 +40,3 @@ pub use executor::{
 };
 pub use fault::{Fault, FaultPlan, RetryPolicy, RuntimeError};
 pub use metrics::{MetricsSnapshot, RuntimeMetrics, HISTOGRAM_BUCKETS};
-pub use pool::ThreadPool;

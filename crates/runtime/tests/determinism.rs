@@ -48,8 +48,9 @@ proptest! {
     ) {
         let one = run_with(1, seed, fault_rate);
         prop_assert!(!one.is_empty());
-        // 2 exercises minimal-contention stealing, 16 oversubscribes the
-        // 6-query fleet so some threads must go idle and steal.
+        // 2 threads split the 6-query fleet off the shared cursor in
+        // completion order; 16 exceeds the fleet, so the run caps itself
+        // at one thread per query.
         for threads in [2usize, 4, 8, 16] {
             prop_assert_eq!(&one, &run_with(threads, seed, fault_rate), "threads={}", threads);
         }

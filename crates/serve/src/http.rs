@@ -6,7 +6,8 @@
 //! This is deliberately not a general web server. It parses exactly what
 //! [`crate::client`] and `cdb-cli` emit, rejects everything else with a
 //! `400`, and never buffers an unbounded body (requests are capped at
-//! [`MAX_BODY`]).
+//! [`MAX_BODY`]), line or header list (capped at `MAX_LINE` bytes per
+//! line and `MAX_HEADERS` headers).
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -14,6 +15,12 @@ use std::net::TcpStream;
 /// Largest request body the server will buffer (1 MiB — CQL text and
 /// small JSON envelopes only).
 pub const MAX_BODY: usize = 1 << 20;
+
+/// Longest request or header line the server reads, terminator included.
+const MAX_LINE: u64 = 8 << 10;
+
+/// Most headers one request may carry.
+const MAX_HEADERS: usize = 64;
 
 /// One parsed HTTP request.
 #[derive(Debug)]
@@ -54,7 +61,7 @@ impl Request {
 /// framing is an `InvalidData` error the caller answers with a `400`.
 pub fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Request>> {
     let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
+    if read_line(reader, &mut line)? == 0 {
         return Ok(None);
     }
     let line = line.trim_end();
@@ -72,12 +79,15 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Requ
     let mut content_length = 0usize;
     loop {
         let mut h = String::new();
-        if reader.read_line(&mut h)? == 0 {
+        if read_line(reader, &mut h)? == 0 {
             return Err(bad("connection closed mid-headers".to_string()));
         }
         let h = h.trim_end();
         if h.is_empty() {
             break;
+        }
+        if headers.len() == MAX_HEADERS {
+            return Err(bad(format!("more than {MAX_HEADERS} headers")));
         }
         let Some((name, value)) = h.split_once(':') else {
             return Err(bad(format!("malformed header: {h:?}")));
@@ -97,6 +107,16 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Requ
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body)?;
     Ok(Some(Request { method: method.to_string(), path, query, headers, body }))
+}
+
+/// `read_line` through a [`MAX_LINE`]-byte window, so a line that never
+/// ends stops at the cap instead of growing `line` without bound.
+fn read_line(reader: &mut BufReader<TcpStream>, line: &mut String) -> io::Result<usize> {
+    let n = reader.by_ref().take(MAX_LINE).read_line(line)?;
+    if n as u64 == MAX_LINE && !line.ends_with('\n') {
+        return Err(bad(format!("line longer than {MAX_LINE} bytes")));
+    }
+    Ok(n)
 }
 
 fn bad(msg: String) -> io::Error {
@@ -221,6 +241,33 @@ mod tests {
         c.write_all(head.as_bytes()).unwrap();
         let mut r = BufReader::new(s);
         assert!(read_request(&mut r).is_err());
+    }
+
+    /// Send `raw` on a fresh connection that stays open while the server
+    /// side parses it, so an unterminated line cannot end at EOF.
+    fn parse(raw: &str) -> io::Result<Option<Request>> {
+        let (mut c, s) = pair();
+        c.write_all(raw.as_bytes()).unwrap();
+        read_request(&mut BufReader::new(s))
+    }
+
+    #[test]
+    fn rejects_overlong_lines_even_unterminated() {
+        let long = "a".repeat(MAX_LINE as usize);
+        for raw in [format!("GET /{long}"), format!("GET / HTTP/1.1\r\nX-Long: {long}\r\n\r\n")] {
+            assert_eq!(parse(&raw).unwrap_err().kind(), io::ErrorKind::InvalidData);
+        }
+    }
+
+    #[test]
+    fn rejects_more_than_max_headers() {
+        let request = |n: usize| {
+            let headers: String = (0..n).map(|i| format!("X-{i}: v\r\n")).collect();
+            format!("GET / HTTP/1.1\r\n{headers}\r\n")
+        };
+        assert_eq!(parse(&request(MAX_HEADERS)).unwrap().unwrap().headers.len(), MAX_HEADERS);
+        let err = parse(&request(MAX_HEADERS + 1)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

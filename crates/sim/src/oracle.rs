@@ -1,8 +1,8 @@
 //! The reference oracle: a naive single-threaded executor.
 //!
 //! It answers every query sequentially, in query-id order, through the
-//! runtime's per-query hook [`cdb_runtime::execute_query`] — no thread
-//! pool, no work stealing, no channels, no backpressure, and a
+//! runtime's per-query hook [`cdb_runtime::execute_query`] — no threads,
+//! no shared job cursor, no result slots, and a
 //! hand-rolled snapshot/absorb loop instead of the scheduler's session
 //! plumbing. Because every stochastic decision is stream-keyed by
 //! `(seed, query id)`, the concurrent scheduler must produce *exactly*
@@ -67,5 +67,5 @@ pub fn run_sequential(cfg: &RuntimeConfig, mut jobs: Vec<QueryJob>) -> RuntimeRe
         }
     }
     results.sort_by_key(|&(id, _)| id);
-    RuntimeReport { results, metrics: metrics.snapshot(), wall: start.elapsed(), steals: 0 }
+    RuntimeReport { results, metrics: metrics.snapshot(), wall: start.elapsed() }
 }
